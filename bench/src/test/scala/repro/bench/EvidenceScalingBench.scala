@@ -18,8 +18,8 @@ class EvidenceScalingBench extends SparkSpec {
     }
     val rows = Seq(500, 1000, 2000, 3000).map { n =>
       val df = TaxData.generate(spark, n)
-      val space = PredicateSpace.build(df, 0.3)
       val rel = EncodedRelation.fromDataFrame(df)
+      val space = PredicateSpace.build(rel, 0.3)
       val (fastEv, fastMs) = timed(EvidenceBuilder.build(spark, rel, space))
       val (naiveEv, naiveMs) = timed(NaiveEvidenceBuilder.build(spark, rel, space))
       assert(fastEv.checksum == naiveEv.checksum, s"builders disagree at n=$n")

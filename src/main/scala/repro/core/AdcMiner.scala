@@ -28,7 +28,10 @@ final case class MinerConfig(
     searchMc: Boolean = false,
 )
 
-/** Result of a run: canonical minimal ADCs plus per-stage wall times. */
+/** Result of a run: canonical minimal ADCs plus per-stage wall times.
+  *
+  * @param spaceMs encode + overlap profiling of the full relation
+  */
 final case class MinerResult(
     dcs: Vector[DenialConstraint],
     hittingSets: Vector[Set[Int]],
@@ -44,9 +47,10 @@ final case class MinerResult(
 }
 
 /** ADCMiner (Fig. 1): predicate space generator → sampler → evidence set
-  * constructor → enumeration. The pair-quadratic evidence construction and
-  * the predicate-space profiling run distributed; the enumeration runs on
-  * the driver over the collected evidence set.
+  * constructor → enumeration. The relation is encoded once on the driver,
+  * where the predicate-space profiling runs over that encoding; Spark runs the
+  * pair-quadratic evidence construction; the enumeration runs on the driver
+  * over the collected evidence set.
   */
 object AdcMiner {
 
@@ -56,22 +60,33 @@ object AdcMiner {
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
+  /** Encode `df` once and profile that encoding: the stage that
+    * `MinerResult.spaceMs` times.
+    */
+  def encodeAndProfile(df: DataFrame, overlapThreshold: Double): ((EncodedRelation, PredicateSpace), Long) =
+    timed {
+      val rel = EncodedRelation.fromDataFrame(df)
+      (rel, PredicateSpace.build(rel, overlapThreshold))
+    }
+
   def mine(spark: SparkSession, df: DataFrame, cfg: MinerConfig): MinerResult = {
-    val (space, spaceMs) = timed(PredicateSpace.build(df, cfg.overlapThreshold))
+    val ((full, space), spaceMs) = encodeAndProfile(df, cfg.overlapThreshold)
     val sampled = Sampler.sample(df, cfg.sampleFraction, cfg.seed)
-    mineWithSpace(spark, sampled, space, cfg, spaceMs)
+    // A whole-relation "sample" is `df` itself: reuse its encoding.
+    val rel = if (sampled eq df) full else EncodedRelation.fromDataFrame(sampled)
+    mineWithSpace(spark, rel, space, cfg, spaceMs)
   }
 
-  /** Variant reusing a prebuilt predicate space (sweeps over sample sizes
-    * or thresholds profile the full relation once, as the paper does).
+  /** Variant mining an encoded (sampled) relation with a prebuilt predicate
+    * space (sweeps over sample sizes or thresholds profile the full relation
+    * once, as the paper does).
     */
   def mineWithSpace(
       spark: SparkSession,
-      sampled: DataFrame,
+      rel: EncodedRelation,
       space: PredicateSpace,
       cfg: MinerConfig,
       spaceMs: Long = 0L): MinerResult = {
-    val rel = EncodedRelation.fromDataFrame(sampled)
     val needVios = ApproxFunction.needsVios(cfg.fName)
     val (evidence, evidenceMs) = timed {
       if (cfg.naiveEvidence) {

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.DataFrame
 
 /** The predicate space P_R over a relation (Sec. 4.2, component 1).
   *
@@ -11,7 +11,10 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   * `t[B] op t'[A]`. Numeric pairs get all six operators, string pairs only
   * {=, !=}. Two distinct attributes are comparable when they have the same
   * type class and share at least `overlapThreshold` (default 30%, as in
-  * [11, 37]) of their distinct values.
+  * [11, 37]) of their distinct values. This profiling runs on the driver over
+  * the [[EncodedRelation]]; Spark is used only for the pair-quadratic
+  * evidence scan. Nulls are not counted as values, and neither is NaN,
+  * because the encoding stores a numeric null as NaN.
   */
 final class PredicateSpace(
     val colNames: IndexedSeq[String],
@@ -51,23 +54,16 @@ final class PredicateSpace(
 
 object PredicateSpace {
 
-  /** Build the predicate space for `df`'s relation. The 30%-common-values
-    * profiling step runs as a distributed DataFrame job (explode → self-join
-    * on value → aggregate) rather than on the driver.
-    */
-  def build(df: DataFrame, overlapThreshold: Double = 0.3): PredicateSpace = {
-    val fields = df.schema.fields
-    val names = fields.map(_.name).toIndexedSeq
-    val numeric = fields.map(f => EncodedRelation.isNumericType(f.dataType)).toIndexedSeq
-    val k = names.size
+  /** Encode `df` and build its predicate space. */
+  def build(df: DataFrame, overlapThreshold: Double = 0.3): PredicateSpace =
+    build(EncodedRelation.fromDataFrame(df), overlapThreshold)
 
-    val comparable: Set[(Int, Int)] =
-      if (overlapThreshold <= 0.0) {
-        (for {
-          a <- 0 until k; b <- (a + 1) until k
-          if numeric(a) == numeric(b)
-        } yield (a, b)).toSet
-      } else overlappingPairs(df, numeric, overlapThreshold)
+  /** Build the predicate space for an encoded relation. */
+  def build(rel: EncodedRelation, overlapThreshold: Double): PredicateSpace = {
+    val names = rel.names.toIndexedSeq
+    val numeric = rel.isNumeric.toIndexedSeq
+    val k = names.size
+    val comparable = overlappingPairs(rel, overlapThreshold)
 
     val preds = Vector.newBuilder[Predicate]
     def opsFor(a: Int, b: Int): Vector[Op] =
@@ -88,54 +84,33 @@ object PredicateSpace {
     new PredicateSpace(names, numeric, preds.result().distinct)
   }
 
-  /** Distinct-value overlap profiling: returns the attribute pairs (a < b)
-    * of equal type class whose distinct-value sets share at least
-    * `threshold` of the smaller set's values.
+  /** The overlap rule below over `df`'s encoding. The type classes come from
+    * `df`'s schema; `numeric` is kept for source compatibility.
     */
-  def overlappingPairs(
-      df: DataFrame,
-      numeric: IndexedSeq[Boolean],
-      threshold: Double): Set[(Int, Int)] = {
-    val spark = df.sparkSession
-    val k = numeric.size
-    // One (colIdx, value-as-string) relation over all columns; numeric values
-    // normalised through double so 1 and 1.0 match.
-    val perCol = (0 until k).map { c =>
-      val v =
-        if (numeric(c)) F.col(df.columns(c)).cast("double").cast("string")
-        else F.col(df.columns(c)).cast("string")
-      df.select(F.lit(c).as("c"), v.as("v")).where(F.col("v").isNotNull).distinct()
+  def overlappingPairs(df: DataFrame, numeric: IndexedSeq[Boolean], threshold: Double): Set[(Int, Int)] =
+    overlappingPairs(EncodedRelation.fromDataFrame(df), threshold)
+
+  /** Distinct-value overlap profiling: the attribute pairs (a < b) of equal
+    * type class whose distinct-value sets share at least `threshold` of the
+    * smaller set's values (`shared / max(1, min(|Da|, |Db|)) >= threshold`,
+    * so a threshold ≤ 0 makes every same-type pair comparable).
+    *
+    * A numeric column's distinct set holds the bits of its doubles, so `1`
+    * and `1.0` match across integer and double columns; a string column's
+    * holds its codes in the relation-wide dictionary, so equal strings match
+    * across columns. Nulls and NaN are skipped (see the class doc).
+    */
+  def overlappingPairs(rel: EncodedRelation, threshold: Double): Set[(Int, Int)] = {
+    val distinct: Array[Set[Long]] = rel.cols.map {
+      case NumCol(xs) => xs.iterator.filterNot(_.isNaN).map(java.lang.Double.doubleToLongBits).toSet
+      case StrCol(xs) => xs.iterator.filter(_ >= 0).map(_.toLong).toSet
     }
-    val vals = perCol.reduce(_.unionAll(_)).cache()
-    try {
-      val distinctCounts: Map[Int, Long] =
-        vals.groupBy("c").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-      // Group each distinct value's column set and emit column pairs — one
-      // shuffle, no self-join needed.
-      val common: Map[(Int, Int), Long] = vals
-        .groupBy("v")
-        .agg(F.collect_set("c").as("cs"))
-        .select("cs")
-        .rdd
-        .flatMap { r =>
-          val cs = r.getSeq[Int](0).sorted
-          for (i <- cs.indices.iterator; j <- (i + 1) until cs.size)
-            yield ((cs(i), cs(j)), 1L)
-        }
-        .reduceByKey(_ + _)
-        .collect()
-        .toMap
-      // NB: collect on the Map itself would rebuild a Map keyed by `a`,
-      // silently dropping pairs that share a first component — iterate.
-      common.iterator.collect {
-        case ((a, b), shared)
-            if numeric(a) == numeric(b) &&
-              shared.toDouble / math.max(1L, math.min(distinctCounts(a), distinctCounts(b))) >= threshold =>
-          (a, b)
-      }.toSet
-    } finally {
-      vals.unpersist()
-      ()
-    }
+    val k = distinct.length
+    (for {
+      a <- 0 until k; b <- (a + 1) until k
+      if rel.isNumeric(a) == rel.isNumeric(b)
+      shared = distinct(a).count(distinct(b).contains)
+      if shared.toDouble / math.max(1, math.min(distinct(a).size, distinct(b).size)) >= threshold
+    } yield (a, b)).toSet
   }
 }

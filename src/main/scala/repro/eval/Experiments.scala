@@ -50,8 +50,7 @@ object Experiments {
 
   /** Build (space, evidence) for a dataset at bench scale. */
   def prepare(spark: SparkSession, df: DataFrame, needVios: Boolean): (PredicateSpace, Evidence, Long, Long) = {
-    val (space, spaceMs) = timed(PredicateSpace.build(df, 0.3))
-    val rel = EncodedRelation.fromDataFrame(df)
+    val ((rel, space), spaceMs) = AdcMiner.encodeAndProfile(df, 0.3)
     val (ev, evMs) = timed(EvidenceBuilder.build(spark, rel, space, needVios))
     (space, ev, spaceMs, evMs)
   }
@@ -160,8 +159,7 @@ object Experiments {
       rows: Map[String, Int] = timingRows): Seq[TotalRow] =
     datasets.flatMap { d =>
       val df = d.generate(spark, benchRows(d, rows))
-      val (space, spaceMs) = timed(PredicateSpace.build(df, 0.3))
-      val rel = EncodedRelation.fromDataFrame(df)
+      val ((rel, space), spaceMs) = AdcMiner.encodeAndProfile(df, 0.3)
       val (fastEv, fastMs) = timed(EvidenceBuilder.build(spark, rel, space))
       val (naiveEv, naiveMs) = timed(NaiveEvidenceBuilder.build(spark, rel, space))
       def enumerate(searchMc: Boolean, ev: Evidence): (Int, Long) = {
