@@ -27,6 +27,63 @@ object Bits {
 
   def toSet(mask: Array[Long], nBits: Int): Set[Int] =
     (0 until nBits).filter(contains(mask, _)).toSet
+
+  /** A new array holding `a ∧ b`. */
+  def and(a: Array[Long], b: Array[Long]): Array[Long] = {
+    val r = new Array[Long](a.length)
+    var w = 0
+    while (w < a.length) { r(w) = a(w) & b(w); w += 1 }
+    r
+  }
+
+  /** `a |= b`, in place. */
+  def or(a: Array[Long], b: Array[Long]): Unit = {
+    var w = 0
+    while (w < a.length) { a(w) |= b(w); w += 1 }
+  }
+
+  /** `a &= ¬b`, in place. */
+  def andNot(a: Array[Long], b: Array[Long]): Unit = {
+    var w = 0
+    while (w < a.length) { a(w) &= ~b(w); w += 1 }
+  }
+
+  def cardinality(bits: Array[Long]): Int = {
+    var w = 0; var c = 0
+    while (w < bits.length) { c += java.lang.Long.bitCount(bits(w)); w += 1 }
+    c
+  }
+
+  /** Sum of `counts(i)` over the set bits i. */
+  def weight(bits: Array[Long], counts: Array[Long]): Long = {
+    var total = 0L
+    var w = 0
+    while (w < bits.length) {
+      var word = bits(w)
+      while (word != 0L) {
+        total += counts((w << 6) + java.lang.Long.numberOfTrailingZeros(word))
+        word &= word - 1
+      }
+      w += 1
+    }
+    total
+  }
+
+  /** The set bits in ascending order. */
+  def iterator(bits: Array[Long]): Iterator[Int] = new Iterator[Int] {
+    private var w = 0
+    private var word = if (bits.isEmpty) 0L else bits(0)
+    def hasNext: Boolean = {
+      while (word == 0L && w + 1 < bits.length) { w += 1; word = bits(w) }
+      word != 0L
+    }
+    def next(): Int = {
+      if (!hasNext) throw new NoSuchElementException("no more set bits")
+      val bit = (w << 6) + java.lang.Long.numberOfTrailingZeros(word)
+      word &= word - 1
+      bit
+    }
+  }
 }
 
 /** The evidence set Evi(D) under bag semantics (Sec. 3): each *distinct*
