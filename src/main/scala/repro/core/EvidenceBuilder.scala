@@ -24,7 +24,7 @@ final case class EvalGroup(
   * mapPartitions against the broadcast columnar relation), comparisons are
   * shared per attribute pair, single-tuple predicate bits are precomputed
   * once per tuple, and per-partition hash aggregation plus a `reduceByKey`
-  * produce the distinct-mask bag.
+  * produce the distinct-mask bag and, in the same job, the optional `vios`.
   */
 object EvidenceBuilder {
 
@@ -62,15 +62,15 @@ object EvidenceBuilder {
     }
   }
 
-  /** Build Evi(D) for the encoded relation. With `needVios`, a second
-    * distributed pass aggregates per-(class, tuple) pair counts for f2/f3.
+  /** Build Evi(D) for the encoded relation in one distributed pair scan.
+    * With `needVios`, each class also gets its `vios` list: the pair count
+    * of every tuple involved in the class's pairs, for f2/f3.
     */
   def build(
       spark: SparkSession,
       rel: EncodedRelation,
       space: PredicateSpace,
-      needVios: Boolean = false,
-      slices: Int = 0): Evidence = {
+      needVios: Boolean = false): Evidence = {
     val n = rel.n
     val nWords = Bits.words(space.size)
     val groups = evalGroups(space)
@@ -79,104 +79,101 @@ object EvidenceBuilder {
     val base1 = baseMasks(rel, groups, 1, nWords)
 
     val sc = spark.sparkContext
-    val nSlices = if (slices > 0) slices else math.max(1, math.min(n, sc.defaultParallelism * 4))
+    val nSlices = math.max(1, math.min(n, sc.defaultParallelism * 4))
     val bRel = sc.broadcast(rel)
     val bCross = sc.broadcast(cross)
     val bBase0 = sc.broadcast(base0)
     val bBase1 = sc.broadcast(base1)
 
-    def maskFor(r: EncodedRelation, cg: Array[EvalGroup], b0: Array[Array[Long]],
-                b1: Array[Array[Long]], i: Int, j: Int, scratch: Array[Long]): Unit = {
-      val bi = b0(i); val bj = b1(j)
-      var w = 0
-      while (w < scratch.length) { scratch(w) = bi(w) | bj(w); w += 1 }
-      var gi = 0
-      while (gi < cg.length) {
-        val g = cg(gi)
-        val ri = if (g.sideA == 0) i else j
-        val rj = if (g.sideB == 0) i else j
-        val c = r.cmp(g.colA, ri, g.colB, rj)
-        var k = 0
-        while (k < g.opIds.length) {
-          if (Op.byId(g.opIds(k)).evalCmp(c)) Bits.set(scratch, g.predIdx(k))
-          k += 1
-        }
-        gi += 1
-      }
-    }
-
-    val classCounts: Array[(ArraySeq[Long], Long)] = sc
+    val classes: Array[(ArraySeq[Long], (Long, Array[Long]))] = sc
       .parallelize(0 until n, nSlices)
       .mapPartitions { it =>
         val r = bRel.value; val cg = bCross.value
         val b0 = bBase0.value; val b1 = bBase1.value
-        val acc = mutable.HashMap.empty[ArraySeq[Long], Long]
+        val acc = mutable.HashMap.empty[ArraySeq[Long], ClassTally]
         val scratch = new Array[Long](nWords)
         it.foreach { i =>
+          val bi = b0(i)
           var j = 0
           while (j < r.n) {
             if (j != i) {
-              maskFor(r, cg, b0, b1, i, j, scratch)
-              val probe = ArraySeq.unsafeWrapArray(scratch)
-              acc.get(probe) match {
-                case Some(cnt) => acc.update(probe, cnt + 1L)
-                case None => acc.update(ArraySeq.unsafeWrapArray(scratch.clone()), 1L)
+              val bj = b1(j)
+              var w = 0
+              while (w < scratch.length) { scratch(w) = bi(w) | bj(w); w += 1 }
+              var gi = 0
+              while (gi < cg.length) {
+                val g = cg(gi)
+                val ri = if (g.sideA == 0) i else j
+                val rj = if (g.sideB == 0) i else j
+                val c = r.cmp(g.colA, ri, g.colB, rj)
+                var k = 0
+                while (k < g.opIds.length) {
+                  if (Op.byId(g.opIds(k)).evalCmp(c)) Bits.set(scratch, g.predIdx(k))
+                  k += 1
+                }
+                gi += 1
               }
+              val probe = ArraySeq.unsafeWrapArray(scratch)
+              val tally = acc.get(probe) match {
+                case Some(t) => t
+                case None =>
+                  val t = new ClassTally(needVios)
+                  acc.update(ArraySeq.unsafeWrapArray(scratch.clone()), t)
+                  t
+              }
+              // the ordered pair (i, j) involves both endpoints
+              tally.add(i, j)
             }
             j += 1
           }
         }
-        acc.iterator
+        acc.iterator.map { case (mask, t) => mask -> (t.pairs, t.packedTuples) }
       }
-      .reduceByKey(_ + _)
+      .reduceByKey((a, b) => (a._1 + b._1, mergeTuples(a._2, b._2)))
       .collect()
 
-    val masks = classCounts.map(_._1.toArray)
-    val counts = classCounts.map(_._2)
-
-    val vios: Option[Array[Array[Long]]] =
-      if (!needVios) None
-      else {
-        val classIdx: Map[ArraySeq[Long], Int] =
-          classCounts.iterator.map(_._1).zipWithIndex.toMap
-        val bIdx = sc.broadcast(classIdx)
-        val perClassTuple: Array[(Long, Long)] = sc
-          .parallelize(0 until n, nSlices)
-          .mapPartitions { it =>
-            val r = bRel.value; val cg = bCross.value
-            val b0 = bBase0.value; val b1 = bBase1.value
-            val idx = bIdx.value
-            val acc = mutable.HashMap.empty[Long, Long]
-            val scratch = new Array[Long](nWords)
-            it.foreach { i =>
-              var j = 0
-              while (j < r.n) {
-                if (j != i) {
-                  maskFor(r, cg, b0, b1, i, j, scratch)
-                  val cls = idx(ArraySeq.unsafeWrapArray(scratch))
-                  // the ordered pair (i, j) involves both endpoints
-                  val ki = (cls.toLong << 32) | i.toLong
-                  val kj = (cls.toLong << 32) | j.toLong
-                  acc.update(ki, acc.getOrElse(ki, 0L) + 1L)
-                  acc.update(kj, acc.getOrElse(kj, 0L) + 1L)
-                }
-                j += 1
-              }
-            }
-            acc.iterator
-          }
-          .reduceByKey(_ + _)
-          .collect()
-        val perClass = Array.fill(masks.length)(Vector.newBuilder[Long])
-        perClassTuple.foreach { case (key, cnt) =>
-          val cls = (key >>> 32).toInt
-          val tid = (key & 0xffffffffL).toInt
-          perClass(cls) += Evidence.pack(tid, cnt)
-        }
-        Some(perClass.map(_.result().toArray))
-      }
-
     bRel.destroy(); bCross.destroy(); bBase0.destroy(); bBase1.destroy()
-    Evidence(space.size, masks, counts, n, vios)
+    Evidence(space.size, classes.map(_._1.toArray), classes.map(_._2._1), n,
+      if (needVios) Some(classes.map(_._2._2)) else None)
   }
+
+  /** Merge two tuple-sorted `vios` lists, summing the counts of a shared tuple. */
+  private def mergeTuples(a: Array[Long], b: Array[Long]): Array[Long] = {
+    val out = new Array[Long](a.length + b.length)
+    var i = 0; var j = 0; var k = 0
+    while (i < a.length || j < b.length) {
+      val ta = if (i < a.length) Evidence.tidOf(a(i)) else Int.MaxValue
+      val tb = if (j < b.length) Evidence.tidOf(b(j)) else Int.MaxValue
+      if (ta < tb) { out(k) = a(i); i += 1 }
+      else if (tb < ta) { out(k) = b(j); j += 1 }
+      else { out(k) = Evidence.pack(ta, Evidence.cntOf(a(i)) + Evidence.cntOf(b(j))); i += 1; j += 1 }
+      k += 1
+    }
+    java.util.Arrays.copyOf(out, k)
+  }
+}
+
+/** Partition-local tally of one evidence class: its pair count and, when
+  * `vios` is needed, the pair count of each tuple involved.
+  */
+private final class ClassTally(withTuples: Boolean) {
+  var pairs = 0L
+  private val tuples = if (withTuples) mutable.LongMap.empty[Long] else null
+
+  def add(i: Int, j: Int): Unit = {
+    pairs += 1L
+    if (tuples != null) {
+      tuples.update(i, tuples.getOrElse(i, 0L) + 1L)
+      tuples.update(j, tuples.getOrElse(j, 0L) + 1L)
+    }
+  }
+
+  /** The tuple counts as `Evidence.pack` longs, sorted by tuple id. */
+  def packedTuples: Array[Long] =
+    if (tuples == null) Array.emptyLongArray
+    else {
+      val packed = tuples.iterator.map { case (t, c) => Evidence.pack(t.toInt, c) }.toArray
+      java.util.Arrays.sort(packed)
+      packed
+    }
 }

@@ -17,12 +17,11 @@ object NaiveEvidenceBuilder {
   def build(
       spark: SparkSession,
       rel: EncodedRelation,
-      space: PredicateSpace,
-      slices: Int = 0): Evidence = {
+      space: PredicateSpace): Evidence = {
     val n = rel.n
     val nWords = Bits.words(space.size)
     val sc = spark.sparkContext
-    val nSlices = if (slices > 0) slices else math.max(1, math.min(n, sc.defaultParallelism * 4))
+    val nSlices = math.max(1, math.min(n, sc.defaultParallelism * 4))
     val bRel = sc.broadcast(rel)
     val bPreds = sc.broadcast(space.predicates.toArray)
 

@@ -6,8 +6,8 @@ import org.apache.spark.sql.DataFrame
   *
   * The estimator p̂ = |E_J| / (|V_J|(|V_J|−1)) of the conflict-graph density
   * is unbiased; Inequality 2 turns a desired full-database threshold ε and
-  * error bound α into a sample acceptance criterion — equivalently the
-  * adjusted approximation function f1' ([[F1Adjusted]]).
+  * error bound α into a sample acceptance criterion, which the adjusted
+  * approximation function f1' ([[F1Adjusted]]) applies.
   */
 object Sampler {
 
@@ -18,19 +18,4 @@ object Sampler {
     require(fraction > 0.0 && fraction <= 1.0, s"fraction out of (0,1]: $fraction")
     if (fraction >= 1.0) df else df.sample(withReplacement = false, fraction, seed)
   }
-
-  /** The per-DC sample threshold ε_J^φ of Sec. 7.2: accept φ on the sample
-    * when p̂ ≤ threshold. Derived from Inequality 2:
-    * (1−p̂) ≥ z·sqrt(p̂(1−p̂)/m) + (1−ε).
-    */
-  def sampleThreshold(epsilon: Double, pHat: Double, mPairs: Long, alpha: Double): Double = {
-    val z = Stats.zFor(alpha)
-    epsilon - z * math.sqrt(pHat * (1.0 - pHat) / math.max(1L, mPairs))
-  }
-
-  /** True when the DC with sample violation rate p̂ passes Inequality 2,
-    * i.e. is an ADC on the full database w.r.t. ε with prob. ≥ 1−α.
-    */
-  def accept(epsilon: Double, pHat: Double, mPairs: Long, alpha: Double): Boolean =
-    pHat <= sampleThreshold(epsilon, pHat, mPairs, alpha)
 }

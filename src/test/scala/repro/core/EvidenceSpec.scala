@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{lit, monotonically_increasing_id}
 import repro.{Fixtures, Oracle, SparkSpec}
+import repro.data.TaxData
+import scala.collection.mutable
 
 /** Evidence-set construction validated against the paper's running example
   * (Table 1, Examples 1.2 and 3.1) and the DuckDB oracle.
@@ -97,6 +99,57 @@ class EvidenceSpec extends SparkSpec {
     ev.masks.indices.foreach { c =>
       val s = vios(c).map(Evidence.cntOf).sum
       assert(s == 2 * ev.counts(c), s"class $c")
+    }
+  }
+
+  /** Checks every (class, tuple, count) of a `needVios` build against a
+    * brute force over all ordered pairs, one `rel.eval` per predicate.
+    */
+  private def assertViosExact(space: PredicateSpace, rel: EncodedRelation): Unit = {
+    val ev = EvidenceBuilder.build(spark, rel, space, needVios = true)
+    val expected = mutable.HashMap.empty[Set[Int], (Long, mutable.HashMap[Int, Long])]
+    for (i <- 0 until rel.n; j <- 0 until rel.n if i != j) {
+      val sat = (0 until space.size).filter(p => rel.eval(space.predicates(p), i, j)).toSet
+      val (pairs, tuples) = expected.getOrElse(sat, (0L, mutable.HashMap.empty[Int, Long]))
+      expected(sat) = (pairs + 1, tuples)
+      tuples(i) = tuples.getOrElse(i, 0L) + 1
+      tuples(j) = tuples.getOrElse(j, 0L) + 1
+    }
+    assert(ev.nClasses == expected.size)
+    val vios = ev.vios.get
+    (0 until ev.nClasses).foreach { c =>
+      val (pairs, tuples) = expected(Bits.toSet(ev.masks(c), space.size))
+      assert(ev.counts(c) == pairs, s"class $c")
+      val got = vios(c).map(p => Evidence.tidOf(p) -> Evidence.cntOf(p))
+      assert(got.map(_._1).distinct.length == got.length, s"class $c repeats a tuple")
+      assert(got.toMap == tuples.toMap, s"class $c")
+    }
+  }
+
+  test("vios: every (class, tuple, count) matches a brute force on the mixed relation") {
+    val df2 = Fixtures.smallMixed(spark, n = 35, seed = 9L)
+    assertViosExact(PredicateSpace.build(df2, overlapThreshold = 0.0),
+      EncodedRelation.fromDataFrame(df2))
+  }
+
+  test("vios: every (class, tuple, count) matches a brute force on a Tax sample") {
+    // About 120 sampled rows, more than the 16 partitions the builder uses
+    // on 4 cores, so classes span partitions and the reduce merges their
+    // per-tuple counts.
+    val df2 = TaxData.generate(spark, 240)
+    val rel2 = EncodedRelation.fromDataFrame(Sampler.sample(df2, 0.5, 11L))
+    assertViosExact(PredicateSpace.build(df2, overlapThreshold = 0.3), rel2)
+  }
+
+  test("0-row and 1-row relations give empty evidence and empty vios") {
+    for (n <- Seq(0, 1)) {
+      val df2 = Fixtures.smallMixed(spark, n, seed = 9L)
+      val space2 = PredicateSpace.build(df2, overlapThreshold = 0.0)
+      val ev2 = EvidenceBuilder.build(spark, EncodedRelation.fromDataFrame(df2), space2,
+        needVios = true)
+      assert(ev2.nTuples == n)
+      assert(ev2.nClasses == 0 && ev2.totalPairs == 0L)
+      assert(ev2.vios.exists(_.isEmpty))
     }
   }
 

@@ -40,61 +40,72 @@ class StatsSpec extends AnyFunSuite {
   }
 }
 
+/** The Sec. 7.2 sample acceptance criterion (Inequality 2), as applied by
+  * `F1Adjusted.gFromPairWeight`: a DC with w violating pairs among the
+  * sample's m ordered pairs is accepted when g' = p̂ + z·sqrt(p̂(1−p̂)/m) ≤ ε,
+  * that is when p̂ ≤ ε − z·sqrt(p̂(1−p̂)/m).
+  */
 class SamplerSpec extends AnyFunSuite {
+
+  /** f1' on a sample of `nTuples` tuples, m = nTuples(nTuples − 1). */
+  private def f1adj(nTuples: Int, alpha: Double = 0.05): F1Adjusted =
+    new F1Adjusted(Evidence(0, Array.empty, Array.empty, nTuples, None), alpha)
 
   test("sample threshold equals epsilon minus the confidence correction") {
     val eps = 0.01
-    val pHat = 0.005
-    val m = 10000L
-    val thr = Sampler.sampleThreshold(eps, pHat, m, alpha = 0.05)
+    val n = 101 // m = 10,100 pairs
+    val m = n.toLong * (n - 1)
+    val w = 50L
+    val pHat = w.toDouble / m
+    val correction = f1adj(n).gFromPairWeight(w) - pHat
     val z = Stats.zFor(0.05)
-    val expected = eps - z * math.sqrt(pHat * (1 - pHat) / m)
-    assert(math.abs(thr - expected) < 1e-12)
+    assert(math.abs(correction - z * math.sqrt(pHat * (1 - pHat) / m)) < 1e-12)
+    val thr = eps - correction
     assert(thr < eps)
+    assert((f1adj(n).gFromPairWeight(w) <= eps) == (pHat <= thr))
   }
 
   test("threshold approaches epsilon as the sample grows (Sec. 7.2)") {
-    val eps = 0.01; val pHat = 0.004
-    val thrs = Seq(1000L, 10000L, 100000L, 10000000L)
-      .map(Sampler.sampleThreshold(eps, pHat, _, 0.05))
-    assert(thrs.zip(thrs.tail).forall { case (a, b) => a < b })
-    assert(math.abs(thrs.last - eps) < 1e-3)
+    // f1' at p̂ ≈ 0.004 converges to f1 = p̂ as m grows from ~1e3 to ~1e7.
+    val gaps = Seq(32, 101, 317, 3163).map { n =>
+      val m = n.toLong * (n - 1)
+      val w = math.round(0.004 * m)
+      val ev = Evidence(0, Array.empty, Array.empty, n, None)
+      new F1Adjusted(ev, 0.05).gFromPairWeight(w) - new F1(ev).gFromPairWeight(w)
+    }
+    assert(gaps.forall(_ > 0.0))
+    assert(gaps.zip(gaps.tail).forall { case (a, b) => a > b })
+    // The sample threshold ε − gap approaches ε.
+    assert(gaps.last < 1e-3)
   }
 
   test("accept agrees with the inequality-2 criterion") {
-    val eps = 0.01; val m = 50000L
-    assert(Sampler.accept(eps, 0.001, m, 0.05))
-    assert(!Sampler.accept(eps, 0.05, m, 0.05))
-    // Right at the boundary, smaller alpha (stricter confidence) rejects.
-    val pHat = 0.0095
-    if (Sampler.accept(eps, pHat, m, 0.4)) {
-      assert(!Sampler.accept(eps, pHat, 100L, 0.001) ||
-        Sampler.sampleThreshold(eps, pHat, 100L, 0.001) >= pHat)
+    val eps = 0.01
+    val n = 224 // m = 49,952 pairs
+    val m = n.toLong * (n - 1)
+    def accept(pHat: Double, alpha: Double): Boolean =
+      f1adj(n, alpha).gFromPairWeight(math.round(pHat * m)) <= eps
+    assert(accept(0.001, 0.05))
+    assert(!accept(0.05, 0.05))
+    // Inequality 2: (1 − p̂) ≥ z·sqrt(p̂(1 − p̂)/m) + (1 − ε).
+    val z = Stats.zFor(0.05)
+    (0L to 1000L by 10L).foreach { w =>
+      val pHat = w.toDouble / m
+      val ineq2 = (1 - pHat) >= z * math.sqrt(pHat * (1 - pHat) / m) + (1 - eps)
+      assert((f1adj(n).gFromPairWeight(w) <= eps) == ineq2, s"w=$w")
     }
-  }
-
-  test("f1adj acceptance on the sample matches Sampler.accept") {
-    import EnumTestKit._
-    val rnd = new Random(42)
-    (0 until 30).foreach { trial =>
-      val n = 10
-      val pairs = for (i <- 0 until n; j <- 0 until n if i != j)
-        yield ((i, j), Set(rnd.nextInt(3)))
-      val ev = evidenceFromPairs(3, n, pairs.toSeq)
-      val alpha = 0.05
-      val fAdj = new F1Adjusted(ev, alpha)
-      val f1 = new F1(ev)
-      val eps = Seq(0.05, 0.2, 0.5)(rnd.nextInt(3))
-      val hs = Set(rnd.nextInt(3))
-      val viol = ev.violatingClasses(hs)
-      val pHat = f1.g(viol.iterator)
-      assert((fAdj.g(viol.iterator) <= eps) == Sampler.accept(eps, pHat, ev.totalPairs, alpha),
-        s"trial $trial pHat=$pHat eps=$eps")
-    }
+    // A stricter confidence (smaller alpha) raises g' and rejects more.
+    val w = math.round(0.0095 * m)
+    assert(f1adj(n, 0.001).gFromPairWeight(w) > f1adj(n, 0.4).gFromPairWeight(w))
+    assert(accept(0.0095, 0.4))
+    assert(!accept(0.0095, 0.001))
   }
 
   test("degenerate pair counts do not blow up") {
-    val thr = Sampler.sampleThreshold(0.01, 0.5, 0L, 0.05)
-    assert(!thr.isNaN && !thr.isInfinite)
+    // 0 or 1 sampled tuples leave m = 0 ordered pairs.
+    for (n <- Seq(0, 1); w <- Seq(0L, 1L)) {
+      val g = f1adj(n).gFromPairWeight(w)
+      assert(!g.isNaN && !g.isInfinite, s"n=$n w=$w")
+    }
   }
 }
